@@ -67,8 +67,9 @@ cargo run --release --example inference_acceleration
 # Network serving smoke: checkpoint boot → HTTP front end on localhost →
 # wire round trip asserted bitwise identical to the library call.
 cargo run --release --example serving
-# Fast-path bench smoke (tiny sample budget): regenerates
-# results/BENCH_serve_fastpath.json and re-checks the bitwise guard.
+# Fast-path bench smoke (tiny sample budget): re-checks the bitwise guard
+# and writes target/BENCH_serve_fastpath.json — only a default-budget run
+# replaces the committed results/BENCH_serve_fastpath.json.
 MCOND_BENCH_SAMPLES=2 MCOND_BENCH_SAMPLE_MS=1 cargo bench -p mcond-bench --bench serve_fastpath
 # Hot-swap robustness in release timing: ≥100 reloads under closed-loop
 # load with epoch-verified bitwise answers, corrupt-bundle storms, and

@@ -1,5 +1,5 @@
 //! Legacy-vs-fastpath serving latency: the vstack-and-slice reference path
-//! (`ServeMode::Extended`), the split-operator zero-copy fast path
+//! (`ServeMode::Extended`), the receptive-field exact path
 //! (`ServeMode::Exact`, the default), and the opt-in frozen-base cache
 //! (`ServeMode::FrozenBase`), each on both attachment targets — the
 //! original graph (Eq. 3) and a reduced graph + mapping (Eq. 11).
@@ -12,7 +12,10 @@
 //! bench asserts it once more on one batch so a perf number is never
 //! reported for a divergent path.
 //!
-//! Output: `results/BENCH_serve_fastpath.json`.
+//! Output: `results/BENCH_serve_fastpath.json` at the default sample
+//! budget; a smoke run (`MCOND_BENCH_SAMPLES` / `MCOND_BENCH_SAMPLE_MS`
+//! overridden) writes `target/BENCH_serve_fastpath.json` instead, so it
+//! never replaces the committed full-budget record.
 
 use mcond_bench::microbench::{black_box, Bench};
 use mcond_bench::{print_table, Row, TableReport};
@@ -115,9 +118,13 @@ fn main() {
     );
 
     let report = report(&bench, &["original", "synthetic"]);
+    let out_dir = if bench.is_default_budget() {
+        concat!(env!("CARGO_MANIFEST_DIR"), "/../../results")
+    } else {
+        concat!(env!("CARGO_MANIFEST_DIR"), "/../../target")
+    };
     bench.finish("serving fast path microbenches");
     print_table(&report);
-    let out_dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
     let _ = std::fs::create_dir_all(out_dir);
     let path = format!("{out_dir}/BENCH_serve_fastpath.json");
     if let Err(e) = report.dump_json(&path) {

@@ -37,6 +37,12 @@ pub struct Measurement {
 
 /// A benchmark session: run closures, collect [`Measurement`]s, print a
 /// human-readable line per bench and optionally dump JSON at the end.
+/// Default samples per bench (`MCOND_BENCH_SAMPLES` unset).
+const DEFAULT_SAMPLES: usize = 20;
+
+/// Default minimum milliseconds per sample (`MCOND_BENCH_SAMPLE_MS` unset).
+const DEFAULT_SAMPLE_MS: u128 = 10;
+
 pub struct Bench {
     samples: usize,
     min_sample_ns: u128,
@@ -50,14 +56,23 @@ impl Bench {
         let samples = std::env::var("MCOND_BENCH_SAMPLES")
             .ok()
             .and_then(|v| v.parse().ok())
-            .unwrap_or(20)
+            .unwrap_or(DEFAULT_SAMPLES)
             .max(1);
         let sample_ms: u128 = std::env::var("MCOND_BENCH_SAMPLE_MS")
             .ok()
             .and_then(|v| v.parse().ok())
-            .unwrap_or(10)
+            .unwrap_or(DEFAULT_SAMPLE_MS)
             .max(1);
         Self { samples, min_sample_ns: sample_ms * 1_000_000, results: Vec::new() }
+    }
+
+    /// Whether the session runs at the default sample budget — the only
+    /// budget whose numbers may replace a committed `results/` record.
+    /// Smoke runs that override `MCOND_BENCH_SAMPLES` or
+    /// `MCOND_BENCH_SAMPLE_MS` report `false`.
+    #[must_use]
+    pub fn is_default_budget(&self) -> bool {
+        self.samples == DEFAULT_SAMPLES && self.min_sample_ns == DEFAULT_SAMPLE_MS * 1_000_000
     }
 
     /// Overrides the sample count (e.g. for expensive end-to-end benches).

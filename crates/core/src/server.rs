@@ -14,17 +14,26 @@
 //!
 //! # Serving fast path
 //!
-//! The default [`ServeMode::Exact`] runs the **split-operator** forward
-//! pass ([`GnnModel::predict_split`]): base features and the batch's
-//! features are fed as a `(x_base, x_new)` pair that is never vstacked,
-//! the batch's `inc`/`inter` blocks are borrowed in place (no clones), the
-//! base graph's degree sums are shared across requests
-//! ([`mcond_gnn::BaseDegrees`], computed once at construction), and the
-//! final propagation computes only the `n` inductive output rows. The
-//! logits are **bitwise identical** to the legacy vstack-and-slice path
-//! ([`ServeMode::Extended`], kept for equivalence testing) at any thread
-//! count; the per-request `O(N'·d)` base-feature memcpy is gone entirely
-//! (tracked by the `serve.bytes_saved` gauge).
+//! The default [`ServeMode::Exact`] runs the **receptive-field** forward
+//! pass ([`GnnModel::predict_split`] over a [`ReceptiveField`]): an
+//! `L`-layer logit reads only the `L`-hop neighbourhood of the request's
+//! attachment columns, so per request the server builds the nested base
+//! sets `S_{P-1} ⊆ … ⊆ S_0` (attachment columns, then one hop of base
+//! neighbours per earlier layer), degree scales for `S_0` only, and local
+//! CSR blocks over those sets, and computes base-side activations only on
+//! them. The batch's `inc`/`inter` blocks are borrowed in place, the base
+//! graph's degree sums are shared across requests
+//! ([`mcond_gnn::BaseDegrees`], computed once at construction), base and
+//! batch features are never vstacked, and the final propagation computes
+//! only the `n` inductive output rows. A request costs
+//! `O(Σ_k nnz(base rows of S_k)·d + n·d)` rather than `O(N'·d)` per layer
+//! (the `serve.propagate.base_rows` histogram records `Σ_k |S_k|`); when a
+//! set covers the whole base, as on small condensed graphs, the base CSR
+//! is used as-is. The logits are **bitwise identical** to the full-width
+//! vstack-and-slice path ([`ServeMode::Extended`], kept as the
+//! independent reference) at any thread count and SIMD tier; the
+//! per-request `N'×d` base-feature vstack is gone entirely (tracked by
+//! the `serve.bytes_saved` gauge).
 //!
 //! [`ServeMode::FrozenBase`] additionally caches per-layer base
 //! activations under base-only normalisation
@@ -68,7 +77,7 @@
 //! [`serve`](InductiveServer::serve) loop.
 
 use crate::serve_error::{panic_context, ServeError};
-use mcond_gnn::{BaseDegrees, FrozenBase, GnnModel, GraphOps};
+use mcond_gnn::{BaseDegrees, FrozenBase, GnnModel, GraphOps, ReceptiveField};
 use mcond_graph::{Graph, NodeBatch};
 use mcond_linalg::DMat;
 use mcond_obs::{Histogram, MetricsSnapshot};
@@ -85,9 +94,11 @@ pub const DEFAULT_MAX_BATCH: usize = 1 << 20;
 /// Which forward pass answers requests.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ServeMode {
-    /// Split-operator fast path (the default): zero per-request base-side
-    /// copies, final layer computes only the `n` inductive rows. Bitwise
-    /// identical to [`ServeMode::Extended`].
+    /// Receptive-field exact path (the default): base-side activations
+    /// only on the request's nested receptive-field sets `S_k`, final layer
+    /// computes only the `n` inductive rows, so a request costs
+    /// `O(Σ_k nnz(base rows of S_k)·d + n·d)` instead of `O(N'·d)`.
+    /// Bitwise identical to [`ServeMode::Extended`].
     #[default]
     Exact,
     /// Legacy extended path: vstacks base and batch features, runs all
@@ -100,10 +111,13 @@ pub enum ServeMode {
     /// request costs `O(L·(nnz + n·d))`. **Approximate** — the cache
     /// ignores the batch's back-edges into the base graph (exact for
     /// batches with no incremental edges; see `mcond_gnn::frozen` for the
-    /// contract and the calibration test for measured deviation). Requests
-    /// degraded to the original graph by
-    /// [`FallbackPolicy::OriginalGraph`] are answered by the exact split
-    /// path — the fallback already trades latency for accuracy.
+    /// contract and the calibration test for measured deviation). What the
+    /// cache still saves over [`ServeMode::Exact`] is the receptive-field
+    /// work: no base rows are propagated per request, however far the
+    /// batch's neighbourhood reaches. Requests degraded to the original
+    /// graph by [`FallbackPolicy::OriginalGraph`] are answered by the
+    /// exact receptive-field path — the fallback already trades latency
+    /// for accuracy.
     FrozenBase,
 }
 
@@ -163,7 +177,7 @@ struct ServeStats {
     rejected: u64,
     fallback: u64,
     panics: u64,
-    /// Base-feature bytes *not* copied per request by the split-operator
+    /// Base-feature bytes *not* copied per request by the exact
     /// fast path (the `N'×d×4` vstack the legacy path pays), cumulative.
     bytes_saved: u64,
     /// Requests answered from the frozen-base cache.
@@ -567,11 +581,6 @@ impl<'a> InductiveServer<'a> {
                 let logits = self.model.predict(&ops, &x);
                 logits.slice_rows(base_adj.rows(), logits.rows())
             }
-            ServeMode::Exact => {
-                bytes_saved = feature_bytes(base_features);
-                let ops = GraphOps::extended_with(base_adj, inc, inter, base_deg);
-                self.model.predict_split(&ops, base_features, &batch.features)
-            }
             ServeMode::FrozenBase if !use_original => {
                 let frozen = self.frozen.as_ref().expect("cache built by with_serve_mode");
                 if frozen.base_version() != self.base_version {
@@ -588,12 +597,16 @@ impl<'a> InductiveServer<'a> {
                 cache_hit = true;
                 self.model.predict_frozen(frozen, inc, inter, &batch.features)
             }
-            ServeMode::FrozenBase => {
-                // Degraded to the original graph: the cache covers the
-                // primary base only — answer exactly (split path).
+            // Exact, and FrozenBase requests degraded to the original
+            // graph (the cache covers the primary base only): propagate
+            // the request's receptive field.
+            ServeMode::Exact | ServeMode::FrozenBase => {
                 bytes_saved = feature_bytes(base_features);
-                let ops = GraphOps::extended_with(base_adj, inc, inter, base_deg);
-                self.model.predict_split(&ops, base_features, &batch.features)
+                let depth = self.model.propagation_depth();
+                let rf = ReceptiveField::new(base_adj, inc, inter, base_deg, depth);
+                #[allow(clippy::cast_precision_loss)]
+                mcond_obs::histogram_record("serve.propagate.base_rows", rf.base_rows() as f64);
+                self.model.predict_split(&rf, base_features, &batch.features)
             }
         };
         drop(propagate_stage);
@@ -795,7 +808,7 @@ impl<'a> InductiveServer<'a> {
 }
 
 /// Size in bytes of a dense feature matrix — the per-request copy the
-/// split path avoids.
+/// exact path avoids.
 fn feature_bytes(x: &DMat) -> u64 {
     (x.rows() * x.cols() * core::mem::size_of::<f32>()) as u64
 }

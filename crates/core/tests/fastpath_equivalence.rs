@@ -12,7 +12,7 @@
 use mcond_core::chaos::corrupted_batches;
 use mcond_core::{FallbackPolicy, InductiveServer, ServeError, ServeMode};
 use mcond_gnn::{GnnKind, GnnModel};
-use mcond_graph::{Graph, InductiveDataset};
+use mcond_graph::{load_dataset, Graph, InductiveDataset, NodeBatch, Scale};
 use mcond_linalg::{DMat, MatRng};
 use mcond_sparse::{Coo, Csr};
 
@@ -130,6 +130,144 @@ fn exact_path_is_bitwise_identical_to_extended_everywhere() {
                             _ => panic!("{} t{threads} {policy:?}: disagreement", kind.name()),
                         }
                     }
+                }
+            });
+        }
+    }
+}
+
+/// Exact and Extended must agree on every `Ok` logit bit and on every
+/// typed error.
+fn assert_same(a: &Result<DMat, ServeError>, b: &Result<DMat, ServeError>, ctx: &str) {
+    match (a, b) {
+        (Ok(x), Ok(y)) => assert_eq!(x.as_slice(), y.as_slice(), "{ctx}: logits drifted"),
+        (Err(x), Err(y)) => assert_eq!(x, y, "{ctx}"),
+        _ => panic!("{ctx}: Ok/Err disagreement ({a:?} vs {b:?})"),
+    }
+}
+
+/// A hand-built batch: node `i` attaches to the base nodes `rows[i]`
+/// (weights 1.0, 0.5, …) of an `n_cols`-wide index space, features are
+/// seeded noise, and `inter` lists symmetric interconnect edges.
+fn custom_batch(
+    rows: &[&[usize]],
+    inter: &[(usize, usize)],
+    n_cols: usize,
+    dim: usize,
+) -> NodeBatch {
+    let n = rows.len();
+    let mut inc = Coo::new(n, n_cols);
+    for (i, cols) in rows.iter().enumerate() {
+        for (k, &c) in cols.iter().enumerate() {
+            inc.push(i, c, 1.0 / (k + 1) as f32);
+        }
+    }
+    let mut ic = Coo::new(n, n);
+    for &(i, j) in inter {
+        ic.push_sym(i, j, 0.5);
+    }
+    NodeBatch {
+        features: MatRng::seed_from(n as u64).normal(n, dim, 0.0, 1.0),
+        incremental: inc.to_csr(),
+        interconnect: ic.to_csr(),
+        labels: vec![0; n],
+    }
+}
+
+/// The strict-subset sweep. On pubmed-small's training graph (900 nodes,
+/// average degree ~6) a request's receptive field is a strict subset of
+/// the base, so the exact path runs on local blocks — unlike the 3-node
+/// base above, where every field is the whole base. Every architecture
+/// (SGC/APPNP at 0–3 hops) × thread count × batch shape is served by
+/// Eq. 3 serving and by the `OriginalGraph` degradation of both Exact and
+/// FrozenBase synthetic servers, and must match Extended bitwise.
+#[test]
+fn exact_path_matches_extended_on_strict_receptive_fields() {
+    let data = load_dataset("pubmed", Scale::Small, 0).expect("pubmed generator");
+    let original = data.original_graph();
+    let (n_train, dim) = (original.num_nodes(), original.feature_dim());
+    let adj = &original.adj;
+    let hub = (0..n_train).max_by_key(|&i| adj.row_cols(i).len()).expect("non-empty base");
+    // Two base nodes sharing the neighbour `w`.
+    let w = (0..n_train).find(|&i| adj.row_cols(i).len() >= 2).expect("a degree-2 node");
+    let (u, v) = (adj.row_cols(w)[0] as usize, adj.row_cols(w)[1] as usize);
+    let empty_row = {
+        let mut b = data.batch(&data.test_idx[..3], false);
+        let mut inc = Coo::new(3, n_train);
+        for (i, j, x) in b.incremental.iter().filter(|&(i, _, _)| i != 1) {
+            inc.push(i, j, x);
+        }
+        b.incremental = inc.to_csr();
+        b
+    };
+    // Pre-promotion batch: attachments within the first half of the base,
+    // encoded against that narrower index space.
+    let half = n_train / 2;
+    let prefix = custom_batch(&[&[1, half - 1], &[2]], &[], half, dim);
+    let batches = [
+        ("node batch", data.batch(&data.test_idx[..6], false)),
+        ("graph batch", data.batch(&data.test_idx[..60], true)),
+        ("empty attachment row", empty_row),
+        ("hub", custom_batch(&[&[hub], &[hub, w]], &[(0, 1)], n_train, dim)),
+        ("shared neighbours", custom_batch(&[&[u], &[v]], &[], n_train, dim)),
+        ("prefix width", prefix),
+    ];
+    assert!(batches[1].1.interconnect.nnz() > 0, "the graph batch must carry interconnections");
+
+    // A 3-node synthetic target whose coverage threshold (above 1) sends
+    // every node to the original graph.
+    let syn_x = MatRng::seed_from(3).normal(3, dim, 0.0, 1.0);
+    let syn = Graph::new(Csr::eye(3), syn_x, vec![0, 1, 2], 3);
+    let mapping = {
+        let mut m = Coo::new(n_train, 3);
+        for i in 0..n_train {
+            m.push(i, i % 3, 1.0);
+        }
+        m.to_csr()
+    };
+
+    let mut models = Vec::new();
+    for hops in 0..=3 {
+        for kind in [GnnKind::Sgc, GnnKind::Appnp] {
+            let mut m = GnnModel::new(kind, dim, 8, original.num_classes, 4);
+            m.hops = hops;
+            models.push(m);
+        }
+    }
+    for kind in [GnnKind::Gcn, GnnKind::Sage, GnnKind::Cheby] {
+        models.push(GnnModel::new(kind, dim, 8, original.num_classes, 4));
+    }
+
+    for model in &models {
+        let tag = format!("{} hops {}", model.kind().name(), model.hops);
+        for threads in [1usize, 4] {
+            mcond_par::with_thread_limit(threads, || {
+                for policy in [FallbackPolicy::SelfLoopOnly, FallbackPolicy::Reject] {
+                    let exact =
+                        InductiveServer::on_original(&original, model).with_fallback(policy);
+                    let legacy = InductiveServer::on_original(&original, model)
+                        .with_fallback(policy)
+                        .with_serve_mode(ServeMode::Extended);
+                    for (name, batch) in &batches {
+                        let ctx = format!("{tag} t{threads} {policy:?} {name}");
+                        assert_same(&exact.try_serve(batch), &legacy.try_serve(batch), &ctx);
+                    }
+                }
+                let degraded = |mode| {
+                    InductiveServer::on_synthetic(&syn, &mapping, model)
+                        .with_fallback(FallbackPolicy::OriginalGraph)
+                        .with_original_graph(&original)
+                        .with_coverage_threshold(1.5)
+                        .with_serve_mode(mode)
+                };
+                let legacy = degraded(ServeMode::Extended);
+                for mode in [ServeMode::Exact, ServeMode::FrozenBase] {
+                    let server = degraded(mode);
+                    for (name, batch) in &batches {
+                        let ctx = format!("{tag} t{threads} degraded {mode:?} {name}");
+                        assert_same(&server.try_serve(batch), &legacy.try_serve(batch), &ctx);
+                    }
+                    assert_eq!(counter(&server, "serve.cache.hits"), 0, "{tag}: not cached");
                 }
             });
         }

@@ -1,13 +1,17 @@
 //! Frozen-base serving cache: the `ServeMode::FrozenBase` approximation.
 //!
-//! The exact extended-operator forward pass must re-propagate over all
-//! `N' + n` rows because attaching a batch perturbs base-side degrees and
-//! base activations feed the new rows at every layer. [`FrozenBase`]
-//! trades that exactness for speed: it runs the forward pass **once over
-//! the base graph alone** (base-only normalisation, no batch attached) and
-//! caches, for every propagation site of the architecture, the base-side
-//! operand that site would multiply by the bottom-left `inc` block —
-//! pre-scaled by the frozen base normalisation for symmetric sites.
+//! The exact forward pass ([`GnnModel::predict_split`]) re-propagates the
+//! request's receptive field on every request: attaching a batch perturbs
+//! the degrees of the base rows it touches, and base activations on the
+//! nested sets `S_k` feed the new rows at every layer, so each request
+//! pays `O(Σ_k nnz(base rows of S_k)·d)` — up to the whole base graph for
+//! a well-connected batch. [`FrozenBase`] trades that exactness for a cost
+//! that no longer depends on the base at all: it runs the forward pass
+//! **once over the base graph alone** (base-only normalisation, no batch
+//! attached) and caches, for every propagation site of the architecture,
+//! the base-side operand that site would multiply by the bottom-left
+//! `inc` block — pre-scaled by the frozen base normalisation for
+//! symmetric sites.
 //!
 //! A request is then served in `O(L·(nnz(inc) + nnz(inter) + n·d))`:
 //! each site computes only its `n` new rows as
@@ -25,11 +29,11 @@
 //! a batch with *no* incremental edges the two coincide and the frozen
 //! path reproduces the exact logits; deviation grows with the batch's
 //! relative edge mass (quantified by the calibration test in
-//! `mcond-core`). The exact split path stays the default — this cache is
+//! `mcond-core`). The exact path stays the default — this cache is
 //! opt-in.
 
 use crate::model::{GnnKind, GnnModel, GraphOps};
-use crate::propagator::BaseDegrees;
+use crate::propagator::{hop_closures, BaseDegrees};
 use mcond_linalg::DMat;
 use mcond_sparse::{Coo, Csr};
 
@@ -197,16 +201,6 @@ impl FrozenBase {
             .sum()
     }
 
-    /// Number of propagation (SpMM) applications feeding the deepest
-    /// cached site — the BFS depth a promotion's receptive field must be
-    /// closed to before patching.
-    fn chain_depth(&self) -> usize {
-        match self.kind {
-            GnnKind::Sgc | GnnKind::Appnp => self.hops.saturating_sub(1),
-            GnnKind::Gcn | GnnKind::Sage | GnnKind::Cheby => 1,
-        }
-    }
-
     /// Incrementally re-freezes the cache after the base graph grew:
     /// `new_adj`/`new_x` are the mutated base (old nodes keep their ids;
     /// appended nodes take the highest ids), `deg` its degree sums, and
@@ -249,41 +243,11 @@ impl FrozenBase {
 
         // Hop-closure of the mutation: seeds are the appended rows plus
         // every old row whose degree (and therefore sym scale) changed;
-        // each SpMM in the chain widens the affected set by one hop.
-        let mut in_set = vec![false; n_new];
-        let mut rows: Vec<usize> = Vec::new();
-        for s in touched.iter().copied().chain(n_old..n_new) {
-            assert!(s < n_new, "try_patch: touched row {s} out of bounds");
-            if !in_set[s] {
-                in_set[s] = true;
-                rows.push(s);
-            }
-        }
-        let mut frontier = rows.clone();
-        for _ in 0..self.chain_depth() {
-            if rows.len() > max_rows {
-                return None;
-            }
-            let mut next = Vec::new();
-            for &r in &frontier {
-                for &c in new_adj.row_cols(r) {
-                    let c = c as usize;
-                    if !in_set[c] {
-                        in_set[c] = true;
-                        next.push(c);
-                        rows.push(c);
-                    }
-                }
-            }
-            if next.is_empty() {
-                break;
-            }
-            frontier = next;
-        }
-        if rows.len() > max_rows {
-            return None;
-        }
-        rows.sort_unstable();
+        // each SpMM feeding a cached site widens the affected set by one
+        // hop.
+        let depth = model.propagation_depth().saturating_sub(1);
+        let seeds = touched.iter().copied().chain(n_old..n_new);
+        let rows = hop_closures(new_adj, seeds, depth, max_rows)?.pop().expect("depth + 1 sets");
 
         // Frozen symmetric scale of the mutated base, full vector plus the
         // closure-row gather — same expression as the from-scratch build.
@@ -581,6 +545,7 @@ impl GnnModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::propagator::ReceptiveField;
     use mcond_linalg::MatRng;
     use mcond_sparse::Coo;
 
@@ -600,8 +565,9 @@ mod tests {
         inter: &Csr,
         x_new: &DMat,
     ) -> DMat {
-        let ops = GraphOps::extended(base, inc, inter);
-        model.predict_split(&ops, base_x, x_new)
+        let deg = BaseDegrees::of(base);
+        let rf = ReceptiveField::new(base, inc, inter, &deg, model.propagation_depth());
+        model.predict_split(&rf, base_x, x_new)
     }
 
     /// With zero incremental edges the batch does not perturb base

@@ -19,5 +19,5 @@ mod trainer;
 pub use frozen::FrozenBase;
 pub use metrics::{accuracy, confusion_counts, CostMeter, InferenceCost};
 pub use model::{GnnKind, GnnModel, GraphOps};
-pub use propagator::{BaseDegrees, Propagator};
+pub use propagator::{BaseDegrees, Propagator, ReceptiveField};
 pub use trainer::{train, TrainConfig, TrainReport};

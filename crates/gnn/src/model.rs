@@ -1,9 +1,10 @@
 //! The five GNN architectures of the paper.
 
-use crate::propagator::{BaseDegrees, Propagator};
+use crate::propagator::{BaseDegrees, Kernel, Propagator, ReceptiveField};
 use mcond_autodiff::{Tape, Var};
 use mcond_linalg::{DMat, MatRng};
 use mcond_sparse::{row_normalize_dense, sym_normalize, Csr};
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Architecture selector (paper §IV-A and Table IV).
@@ -112,21 +113,12 @@ impl GraphOps<'static> {
 
 impl<'a> GraphOps<'a> {
     /// Builds both operators for the extended graph `[[base, incᵀ], [inc,
-    /// inter]]` **without materialising it** — per-batch inductive serving
-    /// then costs O(nnz(inc) + nnz(inter) + n) instead of copying the base
-    /// graph (see `mcond-core`'s `InductiveServer`). The blocks are
-    /// borrowed, not cloned: a request's `inc`/`inter` are used in place.
-    #[must_use]
-    pub fn extended(base: &'a Csr, inc: &'a Csr, inter: &'a Csr) -> Self {
-        Self {
-            sym: Propagator::extended_sym(base, inc, inter),
-            mean: Propagator::extended_mean(base, inc, inter),
-        }
-    }
-
-    /// [`extended`](Self::extended) with the base graph's degree sums
-    /// supplied by the caller ([`BaseDegrees::of`], computed once per
-    /// server). Bitwise identical to [`extended`](Self::extended).
+    /// inter]]` **without materialising it**, with the base graph's degree
+    /// sums supplied by the caller ([`BaseDegrees::of`], computed once per
+    /// server). The blocks are borrowed, not cloned. This is the
+    /// full-width reference ([`GnnModel::predict`] over every row) that
+    /// the receptive-field serving path ([`ReceptiveField`]) is verified
+    /// against.
     #[must_use]
     pub fn extended_with(
         base: &'a Csr,
@@ -370,57 +362,64 @@ impl GnnModel {
         }
     }
 
-    /// Split-operator inference: logits for the **new rows only** of the
-    /// graph behind `ops`, fed as a `(x_base, x_new)` pair that is never
-    /// vstacked.
+    /// Number of propagation steps `P` in one forward pass: the power
+    /// steps for SGC/APPNP, two layers otherwise. An inductive node's
+    /// logits read base rows at most `P` hops away.
+    #[must_use]
+    pub fn propagation_depth(&self) -> usize {
+        match self.kind {
+            GnnKind::Sgc | GnnKind::Appnp => self.hops,
+            GnnKind::Gcn | GnnKind::Sage | GnnKind::Cheby => 2,
+        }
+    }
+
+    /// Receptive-field inference: logits for the **new rows only** of the
+    /// extended graph behind `rf`, with the base features `x_base` (all
+    /// `N'` rows) and the batch features `x_new` fed separately.
     ///
-    /// This is the serving fast path: every dense layer step is
-    /// row-independent and the propagation steps use
-    /// [`Propagator::spmm_split`] / [`Propagator::spmm_bottom`], so the
-    /// returned `n×C` block is **bitwise identical** to
-    /// `predict(ops, x_base.vstack(x_new))` sliced to its last `n` rows —
-    /// at any thread count — while the final propagation computes only the
-    /// `n` inductive output rows and no base-side state is copied.
+    /// This is the exact serving path. Base-side activations are computed
+    /// only on the nested sets `S_k` of `rf` (compact operands, see
+    /// [`ReceptiveField`]); every dense step is row-independent and every
+    /// propagation row is computed from the same entries in the same
+    /// order as the full operator, so the returned `n×C` block is
+    /// **bitwise identical** to `predict` over the full extension sliced
+    /// to its last `n` rows — at any thread count and SIMD tier.
     ///
     /// # Panics
-    /// Panics on dimension mismatch between the split inputs and `ops`.
+    /// Panics when `rf` was built for a different propagation depth, or
+    /// on dimension mismatch.
     #[must_use]
-    pub fn predict_split(&self, ops: &GraphOps<'_>, x_base: &DMat, x_new: &DMat) -> DMat {
+    pub fn predict_split(&self, rf: &ReceptiveField<'_>, x_base: &DMat, x_new: &DMat) -> DMat {
+        let depth = self.propagation_depth();
+        assert_eq!(rf.depth(), depth, "predict_split: receptive field depth mismatch");
         let p = &self.params;
         match self.kind {
             GnnKind::Sgc => {
-                if self.hops == 0 {
+                if depth == 0 {
                     return x_new.matmul(&p[0]).add_row_broadcast(p[1].row(0));
                 }
-                if self.hops == 1 {
-                    return ops
-                        .sym
-                        .spmm_bottom(x_base, x_new)
-                        .matmul(&p[0])
-                        .add_row_broadcast(p[1].row(0));
+                let mut hb = rf.gather(x_base);
+                let mut hn = Cow::Borrowed(x_new);
+                for k in 1..depth {
+                    let (tb, tn) = rf.split(Kernel::Sym, k, hb, &hn);
+                    hb = Cow::Owned(tb);
+                    hn = Cow::Owned(tn);
                 }
-                let (mut hb, mut hn) = ops.sym.spmm_split(x_base, x_new);
-                for _ in 1..self.hops - 1 {
-                    let (tb, tn) = ops.sym.spmm_split(&hb, &hn);
-                    hb = tb;
-                    hn = tn;
-                }
-                ops.sym
-                    .spmm_bottom(&hb, &hn)
-                    .matmul(&p[0])
-                    .add_row_broadcast(p[1].row(0))
+                rf.bottom(Kernel::Sym, hb, &hn).matmul(&p[0]).add_row_broadcast(p[1].row(0))
             }
             GnnKind::Gcn => {
-                let (hb, hn) = ops.sym.spmm_split(&x_base.matmul(&p[0]), &x_new.matmul(&p[0]));
+                let xw = rf.gather(x_base).matmul(&p[0]);
+                let (hb, hn) = rf.split(Kernel::Sym, 1, Cow::Owned(xw), &x_new.matmul(&p[0]));
                 let hb = hb.add_row_broadcast(p[1].row(0)).relu();
                 let hn = hn.add_row_broadcast(p[1].row(0)).relu();
-                ops.sym
-                    .spmm_bottom(&hb.matmul(&p[2]), &hn.matmul(&p[2]))
+                rf.bottom(Kernel::Sym, Cow::Owned(hb.matmul(&p[2])), &hn.matmul(&p[2]))
                     .add_row_broadcast(p[3].row(0))
             }
             GnnKind::Sage => {
-                let (ab, an) = ops.mean.spmm_split(x_base, x_new);
-                let hb = x_base
+                let xb = rf.gather(x_base);
+                let (ab, an) = rf.split(Kernel::Mean, 1, Cow::Borrowed(&xb), x_new);
+                let hb = rf
+                    .narrow(1, &xb)
                     .matmul(&p[0])
                     .add(&ab.matmul(&p[1]))
                     .add_row_broadcast(p[2].row(0))
@@ -431,7 +430,7 @@ impl GnnModel {
                     .add_row_broadcast(p[2].row(0))
                     .relu();
                 hn.matmul(&p[3])
-                    .add(&ops.mean.spmm_bottom(&hb, &hn).matmul(&p[4]))
+                    .add(&rf.bottom(Kernel::Mean, Cow::Owned(hb), &hn).matmul(&p[4]))
                     .add_row_broadcast(p[5].row(0))
             }
             GnnKind::Appnp => {
@@ -442,25 +441,29 @@ impl GnnModel {
                         .matmul(&p[2])
                         .add_row_broadcast(p[3].row(0))
                 };
-                let hb0 = mlp(x_base);
                 let hn0 = mlp(x_new);
-                if self.hops == 0 {
+                if depth == 0 {
                     return hn0;
                 }
-                let tb = hb0.scale(self.alpha);
+                let hb0 = mlp(&rf.gather(x_base));
+                // Teleport terms: the base one narrows with its operand.
+                let mut tb = hb0.scale(self.alpha);
                 let tn = hn0.scale(self.alpha);
                 let (mut zb, mut zn) = (hb0, hn0);
-                for _ in 0..self.hops - 1 {
-                    let (pb, pn) = ops.sym.spmm_split(&zb, &zn);
+                for k in 1..depth {
+                    let (pb, pn) = rf.split(Kernel::Sym, k, Cow::Owned(zb), &zn);
+                    tb = rf.narrow(k, &tb).into_owned();
                     zb = pb.scale(1.0 - self.alpha).add(&tb);
                     zn = pn.scale(1.0 - self.alpha).add(&tn);
                 }
-                ops.sym.spmm_bottom(&zb, &zn).scale(1.0 - self.alpha).add(&tn)
+                rf.bottom(Kernel::Sym, Cow::Owned(zb), &zn).scale(1.0 - self.alpha).add(&tn)
             }
             GnnKind::Cheby => {
-                let (t1b, t1n) = ops.sym.spmm_split(x_base, x_new);
-                let hb = x_base
-                    .matmul(&p[0])
+                let xb = rf.gather(x_base);
+                // Self term first: the propagation then takes `xb` over.
+                let h0b = rf.narrow(1, &xb).matmul(&p[0]);
+                let (t1b, t1n) = rf.split(Kernel::Sym, 1, xb, x_new);
+                let hb = h0b
                     .add(&t1b.scale(-1.0).matmul(&p[1]))
                     .add_row_broadcast(p[2].row(0))
                     .relu();
@@ -469,7 +472,7 @@ impl GnnModel {
                     .add(&t1n.scale(-1.0).matmul(&p[1]))
                     .add_row_broadcast(p[2].row(0))
                     .relu();
-                let t1h_n = ops.sym.spmm_bottom(&hb, &hn).scale(-1.0);
+                let t1h_n = rf.bottom(Kernel::Sym, Cow::Owned(hb), &hn).scale(-1.0);
                 hn.matmul(&p[3])
                     .add(&t1h_n.matmul(&p[4]))
                     .add_row_broadcast(p[5].row(0))

@@ -203,12 +203,14 @@ impl DMat {
     /// Panics if any index is out of bounds.
     #[must_use]
     pub fn select_rows(&self, indices: &[usize]) -> Self {
-        let mut out = Self::zeros(indices.len(), self.cols);
-        for (dst, &src) in indices.iter().enumerate() {
+        // Built by appending (no zero-fill pass): the gather sits on the
+        // per-request serving path, where it copies whole receptive fields.
+        let mut data = Vec::with_capacity(indices.len() * self.cols);
+        for &src in indices {
             assert!(src < self.rows, "select_rows: row {src} out of bounds ({})", self.rows);
-            out.row_mut(dst).copy_from_slice(self.row(src));
+            data.extend_from_slice(self.row(src));
         }
-        out
+        Self { rows: indices.len(), cols: self.cols, data }
     }
 
     /// Vertical concatenation `[self; other]`.

@@ -60,7 +60,7 @@
 //! * `serve.cache.bytes` — gauge: resident size of the frozen-base cache
 //!   at build time;
 //! * `serve.bytes_saved` — gauge: cumulative base-feature bytes the
-//!   split-operator fast path did *not* copy (the per-request `N'×d×4`
+//!   exact fast path did *not* copy (the per-request `N'×d×4`
 //!   vstack the legacy extended path pays). Zero on
 //!   `ServeMode::Extended`; the `fastpath_equivalence` test asserts it
 //!   equals `requests × N'×d×4` on the fast path.
@@ -94,6 +94,13 @@
 //! * `serve.stage.propagate` — operator assembly + GNN forward
 //!   (Eq. 11's propagation over the extended graph);
 //! * `serve.stage.head` — output finalisation (finiteness audit).
+//!
+//! Next to `serve.stage.propagate`, the exact path records
+//! `serve.propagate.base_rows` — a per-request histogram of the base rows
+//! the forward pass propagated, `Σ_k |S_k|` over the request's nested
+//! receptive-field sets (at most `P·N'`; far less when the batch's
+//! neighbourhood is a small part of the base). It is absent for requests
+//! answered by `ServeMode::Extended` or the frozen-base cache.
 //!
 //! Span and point records carry a `trace` field (a process-unique positive
 //! integer) when emitted inside a request scope; `try_serve*` assigns one

@@ -5,7 +5,7 @@
 //! The second half layers the **serving fast path** on top: the same
 //! condensed graph served through [`InductiveServer`] in each
 //! [`ServeMode`] — the legacy vstack-and-slice reference (`Extended`),
-//! the split-operator zero-copy path (`Exact`, the default; verified
+//! the receptive-field exact path (`Exact`, the default; verified
 //! bitwise against the reference here), and the approximate frozen-base
 //! cache (`FrozenBase`).
 //!
@@ -93,7 +93,7 @@ fn main() {
     // --- Serving fast path on the condensed graph -----------------------
     // The servers above re-materialised the extended graph per batch; the
     // InductiveServer streams through the shared base instead, and the
-    // split-operator fast path (the default) never copies base features.
+    // exact receptive-field path (the default) never copies base features.
     println!("\nserving fast path (same condensed graph, {} batches):", batches.len());
     let modes = [
         ("Extended (reference)", ServeMode::Extended),
