@@ -81,23 +81,25 @@ cargo test --release -p mcond-serve --test reload_chaos --test drain_deadline
 # both Exact and patched-FrozenBase serving) at 1 and 4 threads, and a
 # refresh replay must reproduce the live state exactly.
 cargo test --release -p mcond-core --test delta_equivalence
-# Drift-experiment smoke (tiny waves): regenerates
-# results/BENCH_delta_drift.json and re-checks the refresh-replay bitwise
-# guard over the probe set.
+# Drift-experiment smoke (tiny waves): re-checks the refresh-replay bitwise
+# guard over the probe set and writes target/BENCH_delta_drift.json. Every
+# bench below does the same: a run whose budget variables override the
+# defaults writes under target/, and only a default-budget run replaces
+# the committed results/BENCH_*.json.
 MCOND_DRIFT_WAVES=2 MCOND_DRIFT_WAVE=4 MCOND_DRIFT_EPOCHS=5 MCOND_DRIFT_PROBES=50 cargo bench -p mcond-bench --bench delta_drift
-# Closed-loop HTTP load-generator smoke (short levels): regenerates
-# results/BENCH_serving_qps.json after verifying wire responses bitwise
-# and asserting RSS stays flat across 50 hot reloads.
+# Closed-loop HTTP load-generator smoke (short levels): verifies wire
+# responses bitwise and asserts RSS stays flat across 50 hot reloads;
+# writes target/BENCH_serving_qps.json.
 MCOND_QPS_MS=300 cargo bench -p mcond-bench --bench serving_qps
-# Reload-under-load smoke: regenerates results/BENCH_reload_swap.json —
-# p50/p99 with vs without a concurrent reload storm, every answer verified
-# against the epoch its header claims.
+# Reload-under-load smoke: p50/p99 with vs without a concurrent reload
+# storm, every answer verified against the epoch its header claims; writes
+# target/BENCH_reload_swap.json.
 MCOND_RELOAD_MS=300 cargo bench -p mcond-bench --bench reload_swap
 # Observability overhead smoke: sink-off vs sharded-registry vs full
-# tracing at 1 and 4 threads; regenerates results/BENCH_obs_overhead.json.
+# tracing at 1 and 4 threads; writes target/BENCH_obs_overhead.json.
 MCOND_BENCH_SAMPLES=2 MCOND_BENCH_SAMPLE_MS=1 cargo bench -p mcond-bench --bench obs
 # SIMD tier sweep smoke: every available MCOND_SIMD level of the dense and
-# sparse kernels; regenerates results/BENCH_kernels_simd.json.
+# sparse kernels; writes target/BENCH_kernels_simd.json.
 MCOND_BENCH_SAMPLES=2 MCOND_BENCH_SAMPLE_MS=1 cargo bench -p mcond-bench --bench kernels_simd
 # Offline trace tooling smoke: fold the robust_serving JSONL trace into a
 # call-tree profile (fails if the log is missing or span-free).

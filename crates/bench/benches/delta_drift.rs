@@ -20,17 +20,16 @@
 //! `MCOND_DRIFT_PROBES` (probe nodes, default 100),
 //! `MCOND_DRIFT_EPOCHS` (training epochs, default 80).
 //!
-//! Output: `results/BENCH_delta_drift.json`.
+//! Output: `results/BENCH_delta_drift.json` with every knob at its default;
+//! a run that changes a knob writes `target/BENCH_delta_drift.json`
+//! instead.
 
+use mcond_bench::microbench::{write_record, EnvBudget};
 use mcond_bench::{print_table, Row, TableReport};
 use mcond_core::{condense, GraphDelta, InductiveServer, LiveBase, McondConfig};
 use mcond_gnn::{accuracy, train, GnnKind, GnnModel, GraphOps, TrainConfig};
 use mcond_graph::{load_dataset, InductiveDataset, NodeBatch, Scale};
 use std::time::Instant;
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
 
 /// Chunks `nodes` into probe batches of at most 25 (the serving batch
 /// size the other benches use).
@@ -58,10 +57,11 @@ fn score(server: &InductiveServer, probes: &[NodeBatch]) -> (f64, f64) {
 }
 
 fn main() {
-    let waves = env_usize("MCOND_DRIFT_WAVES", 5);
-    let wave_nodes = env_usize("MCOND_DRIFT_WAVE", 16);
-    let n_probes = env_usize("MCOND_DRIFT_PROBES", 100);
-    let epochs = env_usize("MCOND_DRIFT_EPOCHS", 80);
+    let mut budget = EnvBudget::default();
+    let waves = budget.usize("MCOND_DRIFT_WAVES", 5);
+    let wave_nodes = budget.usize("MCOND_DRIFT_WAVE", 16);
+    let n_probes = budget.usize("MCOND_DRIFT_PROBES", 100);
+    let epochs = budget.usize("MCOND_DRIFT_EPOCHS", 80);
 
     let data = load_dataset("pubmed", Scale::Small, 0).expect("pubmed generator");
     assert!(
@@ -176,10 +176,5 @@ fn main() {
 
     report.attach_metrics(&mcond_obs::snapshot());
     print_table(&report);
-    let out_dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
-    std::fs::create_dir_all(out_dir).expect("create results dir");
-    report
-        .dump_json(&format!("{out_dir}/BENCH_delta_drift.json"))
-        .expect("write BENCH_delta_drift.json");
-    println!("wrote {out_dir}/BENCH_delta_drift.json");
+    write_record(&report, "delta_drift", budget.is_default());
 }

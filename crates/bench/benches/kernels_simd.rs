@@ -9,10 +9,12 @@
 //! `speedup_vs_scalar` compares each level against the retained scalar
 //! reference kernels — the headline number the SIMD rewrite is judged on.
 //!
-//! Output: `results/BENCH_kernels_simd.json` (plus the usual
-//! `MCOND_BENCH_JSON` dump when that variable is set).
+//! Output: `results/BENCH_kernels_simd.json` at the default sample budget;
+//! a smoke run (`MCOND_BENCH_SAMPLES` / `MCOND_BENCH_SAMPLE_MS` overridden)
+//! writes `target/BENCH_kernels_simd.json` instead. (Plus the usual
+//! `MCOND_BENCH_JSON` dump when that variable is set.)
 
-use mcond_bench::microbench::{black_box, Bench};
+use mcond_bench::microbench::{black_box, write_record, Bench};
 use mcond_bench::{print_table, Row, TableReport};
 use mcond_graph::{generate_sbm, SbmConfig};
 use mcond_linalg::simd::{self, SimdLevel};
@@ -130,14 +132,8 @@ fn main() {
         }
     }
     report.attach_metrics(&mcond_obs::snapshot());
+    let default_budget = bench.is_default_budget();
     bench.finish("SIMD kernel microbenches");
     print_table(&report);
-    // Anchor at the workspace root (cargo bench runs with the package dir
-    // as CWD) so the baseline lands next to the experiment outputs.
-    let out_dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
-    let _ = std::fs::create_dir_all(out_dir);
-    let path = format!("{out_dir}/BENCH_kernels_simd.json");
-    if let Err(e) = report.dump_json(&path) {
-        eprintln!("cannot write {path}: {e}");
-    }
+    write_record(&report, "kernels_simd", default_budget);
 }

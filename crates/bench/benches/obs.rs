@@ -19,9 +19,12 @@
 //!   attached sink, at 1 and 4 threads, the worst-case hot path.
 //!
 //! Run with `MCOND_LOG` unset so the disabled baseline is actually
-//! disabled. Output: `results/BENCH_obs_overhead.json`.
+//! disabled. Output: `results/BENCH_obs_overhead.json` at the default
+//! sample budget; a smoke run (`MCOND_BENCH_SAMPLES` /
+//! `MCOND_BENCH_SAMPLE_MS` overridden) writes
+//! `target/BENCH_obs_overhead.json` instead.
 
-use mcond_bench::microbench::{black_box, Bench};
+use mcond_bench::microbench::{black_box, write_record, Bench};
 use mcond_bench::{print_table, Row, TableReport};
 use mcond_linalg::MatRng;
 use std::collections::BTreeMap;
@@ -175,12 +178,8 @@ fn main() {
     }
     report.attach_metrics(&mcond_obs::snapshot());
 
+    let default_budget = bench.is_default_budget();
     bench.finish("observability overhead");
     print_table(&report);
-    let out_dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
-    let _ = std::fs::create_dir_all(out_dir);
-    let path = format!("{out_dir}/BENCH_obs_overhead.json");
-    if let Err(e) = report.dump_json(&path) {
-        eprintln!("cannot write {path}: {e}");
-    }
+    write_record(&report, "obs_overhead", default_budget);
 }

@@ -11,10 +11,13 @@
 //! oversubscribes) and the speedup simply records ~1.0 — the bench never
 //! fails on thread availability.
 //!
-//! Output: `results/BENCH_parallel.json` (plus the usual `MCOND_BENCH_JSON`
-//! dump of the raw measurements when that variable is set).
+//! Output: `results/BENCH_parallel.json` at the default sample budget; a smoke
+//! run (`MCOND_BENCH_SAMPLES` / `MCOND_BENCH_SAMPLE_MS` overridden) writes
+//! `target/BENCH_parallel.json` instead.
+//! (Plus the usual `MCOND_BENCH_JSON` dump of the raw measurements when
+//! that variable is set.)
 
-use mcond_bench::microbench::{black_box, Bench};
+use mcond_bench::microbench::{black_box, write_record, Bench};
 use mcond_bench::{print_table, Row, TableReport};
 use mcond_core::InductiveServer;
 use mcond_gnn::{GnnKind, GnnModel};
@@ -107,14 +110,8 @@ fn main() {
     bench_spmm(&mut bench);
     bench_serve_many(&mut bench);
     let report = speedup_report(&bench);
+    let default_budget = bench.is_default_budget();
     bench.finish("parallel kernel microbenches");
     print_table(&report);
-    // Anchor at the workspace root (cargo bench runs with the package dir
-    // as CWD) so the baseline lands next to the experiment outputs.
-    let out_dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
-    let _ = std::fs::create_dir_all(out_dir);
-    let path = format!("{out_dir}/BENCH_parallel.json");
-    if let Err(e) = report.dump_json(&path) {
-        eprintln!("cannot write {path}: {e}");
-    }
+    write_record(&report, "parallel", default_budget);
 }

@@ -15,8 +15,11 @@
 //! `MCOND_RELOAD_CLIENTS` (client threads, default 4),
 //! `MCOND_RELOAD_QPS` (aggregate offered rate, default 200).
 //!
-//! Output: `results/BENCH_reload_swap.json`.
+//! Output: `results/BENCH_reload_swap.json` with every knob at its default;
+//! a run that changes a knob writes `target/BENCH_reload_swap.json`
+//! instead.
 
+use mcond_bench::microbench::{write_record, EnvBudget};
 use mcond_bench::{print_table, Row, TableReport};
 use mcond_core::{Checkpoint, InductiveServer};
 use mcond_gnn::{GnnKind, GnnModel};
@@ -27,10 +30,6 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
 
 fn percentile(sorted: &[f64], q: f64) -> f64 {
     if sorted.is_empty() {
@@ -206,10 +205,11 @@ fn main() {
     .expect("spawn front end");
     let addr = handle.addr();
 
-    let duration = Duration::from_millis(env_usize("MCOND_RELOAD_MS", 1500) as u64);
-    let clients = env_usize("MCOND_RELOAD_CLIENTS", 4);
+    let mut budget = EnvBudget::default();
+    let duration = Duration::from_millis(budget.usize("MCOND_RELOAD_MS", 1500) as u64);
+    let clients = budget.usize("MCOND_RELOAD_CLIENTS", 4);
     #[allow(clippy::cast_precision_loss)]
-    let qps = env_usize("MCOND_RELOAD_QPS", 200) as f64;
+    let qps = budget.usize("MCOND_RELOAD_QPS", 200) as f64;
 
     let mut report = TableReport::new(
         "serving latency with vs without a concurrent checkpoint reload storm (pubmed-small)",
@@ -257,12 +257,7 @@ fn main() {
 
     report.attach_metrics(&mcond_obs::snapshot());
     print_table(&report);
-    let out_dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
-    let _ = std::fs::create_dir_all(out_dir);
-    let path = format!("{out_dir}/BENCH_reload_swap.json");
-    if let Err(e) = report.dump_json(&path) {
-        eprintln!("cannot write {path}: {e}");
-    }
+    write_record(&report, "reload_swap", budget.is_default());
     handle.shutdown();
     std::fs::remove_file(&path_a).ok();
     std::fs::remove_file(&path_b).ok();

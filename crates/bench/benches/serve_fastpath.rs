@@ -17,7 +17,7 @@
 //! overridden) writes `target/BENCH_serve_fastpath.json` instead, so it
 //! never replaces the committed full-budget record.
 
-use mcond_bench::microbench::{black_box, Bench};
+use mcond_bench::microbench::{black_box, write_record, Bench};
 use mcond_bench::{print_table, Row, TableReport};
 use mcond_core::{vng, InductiveServer, ServeMode};
 use mcond_gnn::{GnnKind, GnnModel};
@@ -118,16 +118,8 @@ fn main() {
     );
 
     let report = report(&bench, &["original", "synthetic"]);
-    let out_dir = if bench.is_default_budget() {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../results")
-    } else {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../target")
-    };
+    let default_budget = bench.is_default_budget();
     bench.finish("serving fast path microbenches");
     print_table(&report);
-    let _ = std::fs::create_dir_all(out_dir);
-    let path = format!("{out_dir}/BENCH_serve_fastpath.json");
-    if let Err(e) = report.dump_json(&path) {
-        eprintln!("cannot write {path}: {e}");
-    }
+    write_record(&report, "serve_fastpath", default_budget);
 }

@@ -19,8 +19,11 @@
 //! Knobs: `MCOND_QPS_MS` (per-level duration, default 1500),
 //! `MCOND_QPS_CLIENTS` (client threads, default 4).
 //!
-//! Output: `results/BENCH_serving_qps.json`.
+//! Output: `results/BENCH_serving_qps.json` with every knob at its default;
+//! a run that changes a knob writes `target/BENCH_serving_qps.json`
+//! instead.
 
+use mcond_bench::microbench::{write_record, EnvBudget};
 use mcond_bench::{print_table, Row, TableReport};
 use mcond_core::Checkpoint;
 use mcond_gnn::{GnnKind, GnnModel};
@@ -35,10 +38,6 @@ use std::time::{Duration, Instant};
 const OFFERED_QPS: [f64; 3] = [100.0, 400.0, 1600.0];
 /// Hot reloads the RSS-flatness guard performs.
 const RELOADS: usize = 50;
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
 
 fn percentile(sorted: &[f64], q: f64) -> f64 {
     if sorted.is_empty() {
@@ -215,8 +214,9 @@ fn main() {
         }
     }
 
-    let duration = Duration::from_millis(env_usize("MCOND_QPS_MS", 1500) as u64);
-    let clients = env_usize("MCOND_QPS_CLIENTS", 4);
+    let mut budget = EnvBudget::default();
+    let duration = Duration::from_millis(budget.usize("MCOND_QPS_MS", 1500) as u64);
+    let clients = budget.usize("MCOND_QPS_CLIENTS", 4);
     let mut report =
         TableReport::new("closed-loop serving latency vs offered QPS (pubmed-small, Eq. 3)");
     for offered in OFFERED_QPS {
@@ -235,12 +235,7 @@ fn main() {
     }
     report.attach_metrics(&mcond_obs::snapshot());
     print_table(&report);
-    let out_dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
-    let _ = std::fs::create_dir_all(out_dir);
-    let path = format!("{out_dir}/BENCH_serving_qps.json");
-    if let Err(e) = report.dump_json(&path) {
-        eprintln!("cannot write {path}: {e}");
-    }
+    write_record(&report, "serving_qps", budget.is_default());
     handle.shutdown();
     std::fs::remove_file(&ckpt_path).ok();
 }

@@ -14,11 +14,59 @@
 //!   (default 10).
 //! * `MCOND_BENCH_JSON` — when set to a path, the run also dumps a
 //!   [`TableReport`](crate::TableReport) JSON file of every measurement.
+//!
+//! A bench's `BENCH_*.json` record goes through [`write_record`]: only a
+//! run at the default budget replaces the committed `results/` file; a
+//! smoke run with a reduced budget writes under `target/`.
 
 pub use std::hint::black_box;
 use std::time::Instant;
 
 use crate::{Row, TableReport};
+
+/// Writes `report` as `BENCH_<name>.json` — into the committed
+/// `results/` when `default_budget`, else into `target/` — and prints the
+/// path.
+///
+/// # Panics
+/// When the file cannot be written: the record is the bench's output.
+pub fn write_record(report: &TableReport, name: &str, default_budget: bool) {
+    // Anchored at the workspace root: cargo bench runs with the package
+    // directory as CWD.
+    let dir = if default_budget {
+        concat!(env!("CARGO_MANIFEST_DIR"), "/../../results")
+    } else {
+        concat!(env!("CARGO_MANIFEST_DIR"), "/../../target")
+    };
+    let path = format!("{dir}/BENCH_{name}.json");
+    std::fs::create_dir_all(dir)
+        .and_then(|()| report.dump_json(&path))
+        .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+    println!("wrote {path}");
+}
+
+/// The budget knobs of an end-to-end bench (`MCOND_QPS_MS`, ...), read
+/// from the environment. The run is at its default budget only when no
+/// knob moved off its default.
+#[derive(Debug, Default)]
+pub struct EnvBudget {
+    overridden: bool,
+}
+
+impl EnvBudget {
+    /// `name` parsed as a `usize`, or `default` when unset or unparsable.
+    pub fn usize(&mut self, name: &str, default: usize) -> usize {
+        let v = std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default);
+        self.overridden |= v != default;
+        v
+    }
+
+    /// Whether every knob read so far kept its default.
+    #[must_use]
+    pub fn is_default(&self) -> bool {
+        !self.overridden
+    }
+}
 
 /// One finished measurement, in nanoseconds per iteration.
 #[derive(Clone, Debug)]

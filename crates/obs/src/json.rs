@@ -6,8 +6,16 @@
 //! observability layer and the bench harness need: building values, compact
 //! and pretty serialisation with full string escaping, and a strict parser
 //! so tests can round-trip every emitted line.
+//!
+//! The parser recurses once per `[`/`{`, so it refuses documents nested
+//! deeper than [`MAX_DEPTH`] with an ordinary parse error: a request body
+//! of a million `[` must not overflow a connection thread's stack.
 
 use std::fmt::Write as _;
+
+/// Deepest nesting of arrays and objects [`Json::parse`] accepts; the
+/// outermost container is at depth 1.
+pub const MAX_DEPTH: usize = 128;
 
 /// A JSON value. Objects preserve insertion order (stable, diffable dumps).
 #[derive(Clone, Debug, PartialEq)]
@@ -143,9 +151,10 @@ impl Json {
     /// Parses a JSON document (must consume the full input).
     ///
     /// # Errors
-    /// Returns a message with the byte offset of the first syntax error.
+    /// Returns a message with the byte offset of the first syntax error,
+    /// which includes nesting deeper than [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
@@ -187,7 +196,10 @@ fn write_seq(
     out.push(close);
 }
 
-fn write_number(out: &mut String, v: f64) {
+/// Appends `v` the way [`Json::dump`] writes a number: `null` for
+/// non-finite values, `-0.0` for negative zero, integers below `1e15`
+/// without a decimal point, anything else in shortest round-trip form.
+pub fn write_number(out: &mut String, v: f64) {
     if !v.is_finite() {
         out.push_str("null");
     } else if v == 0.0 && v.is_sign_negative() {
@@ -259,6 +271,8 @@ impl<T: Into<Json>> From<Vec<T>> for Json {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers open around the cursor.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -285,8 +299,11 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => {
+                Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.pos))
+            }
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -294,6 +311,13 @@ impl Parser<'_> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             other => Err(format!("unexpected {other:?} at byte {}", self.pos)),
         }
+    }
+
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        self.depth += 1;
+        let value = f(self);
+        self.depth -= 1;
+        value
     }
 
     fn literal(&mut self, text: &str, value: Json) -> Result<Json, String> {
@@ -494,6 +518,19 @@ mod tests {
         assert!(Json::parse("{\"a\" 1}").is_err());
         assert!(Json::parse("123 456").is_err());
         assert!(Json::parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&ok).is_ok());
+        let deep = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(Json::parse(&deep).unwrap_err().contains("nesting"));
+        let objects = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH + 1), "}".repeat(MAX_DEPTH + 1));
+        assert!(Json::parse(&objects).is_err());
+        // A million `[` fails fast with the same error instead of
+        // overflowing the stack.
+        assert!(Json::parse(&"[".repeat(1 << 20)).unwrap_err().contains("nesting"));
     }
 
     #[test]

@@ -96,6 +96,14 @@ pub fn protocol_corpus(
         split_body.len(),
         split_body
     );
+    // A million `[` (kept under the body cap): a recursive JSON parser
+    // overflows the connection thread's stack on it, which aborts the
+    // whole process. Both JSON endpoints must answer 400 instead.
+    let nested_body = "[".repeat((1 << 20).min(limits.max_body_bytes));
+    let nested = |path: &str| {
+        let head = format!("POST {path} HTTP/1.1\r\ncontent-length: {}\r\n\r\n", nested_body.len());
+        ChaosWrite::Bytes([head.as_bytes(), nested_body.as_bytes()].concat())
+    };
     let half = split_body.len() / 2;
     let split_writes = vec![
         req("POST /v1/serve HTTP"),
@@ -213,6 +221,16 @@ pub fn protocol_corpus(
             writes: vec![req(
                 "POST /v1/serve HTTP/1.1\r\ncontent-length: 17\r\n\r\n{\"features\": 42}\n",
             )],
+            expect: Expect::Statuses(&[400]),
+        },
+        ProtocolCase {
+            name: "deeply_nested_serve_body",
+            writes: vec![nested("/v1/serve")],
+            expect: Expect::Statuses(&[400]),
+        },
+        ProtocolCase {
+            name: "deeply_nested_reload_body",
+            writes: vec![nested("/v1/admin/reload")],
             expect: Expect::Statuses(&[400]),
         },
         ProtocolCase {
